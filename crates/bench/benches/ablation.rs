@@ -10,70 +10,62 @@
 use criterion::{BenchmarkId, Criterion};
 use graphblas::prelude::*;
 use lagraph::bfs_level_matrix;
-use lagraph_bench::{criterion_config, profile_once, report_stats};
-use lagraph_io::{rmat, RmatParams};
+use lagraph::gen::{rmat, RmatConfig};
+use lagraph_bench::{criterion_config, profile_once, report_run};
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation");
-    graphblas::stats::reset();
 
     // Dual storage on/off: identical BFS, with and without the cached
     // transpose that enables pull.
-    let params = RmatParams { scale: 11, edge_factor: 16, seed: 5, ..Default::default() };
-    let plain = rmat(&params).expect("rmat");
+    let plain = rmat(&RmatConfig { scale: 11, edge_factor: 16, seed: 5, ..Default::default() })
+        .expect("rmat");
     plain.wait();
     let mut dual = plain.clone();
     dual.set_dual_storage(true);
     dual.wait();
+    let bfs = |a: &Matrix<bool>| bfs_level_matrix(a, 0, Direction::Auto).expect("bfs").nvals();
     group.bench_with_input(BenchmarkId::new("bfs", "dual_storage"), &dual, |bencher, a| {
-        bencher.iter(|| bfs_level_matrix(a, 0, Direction::Auto).expect("bfs").nvals())
+        bencher.iter(|| bfs(a))
     });
-    report_stats("ablation/bfs/dual_storage");
+    report_run("ablation/bfs/dual_storage", || bfs(&dual));
     group.bench_with_input(BenchmarkId::new("bfs", "single_storage"), &plain, |bencher, a| {
-        bencher.iter(|| bfs_level_matrix(a, 0, Direction::Auto).expect("bfs").nvals())
+        bencher.iter(|| bfs(a))
     });
-    report_stats("ablation/bfs/single_storage");
+    report_run("ablation/bfs/single_storage", || bfs(&plain));
     // One traced run of the dual-storage BFS: the per-span profile shows
     // where the iterations spend their time, not just end-to-end medians.
-    profile_once("ablation/bfs/dual_storage", || {
-        bfs_level_matrix(&dual, 0, Direction::Auto).expect("bfs").nvals()
-    });
+    profile_once("ablation/bfs/dual_storage", || bfs(&dual));
 
     // Pending tuples vs eager assembly on a mixed update stream.
     let n = 1 << 12;
     let updates: Vec<(Index, Index, f64)> =
         (0..20_000).map(|k| ((k * 37) % n, (k * 101) % n, k as f64)).collect();
-    group.bench_with_input(
-        BenchmarkId::new("updates", "nonblocking"),
-        &updates,
-        |bencher, updates| {
-            bencher.iter(|| {
-                let mut m = Matrix::<f64>::new(n, n).expect("new");
-                for &(i, j, x) in updates {
-                    m.set_element(i, j, x).expect("set");
-                }
-                m.nvals()
-            })
-        },
-    );
-    report_stats("ablation/updates/nonblocking");
-    group.bench_with_input(
-        BenchmarkId::new("updates", "eager_every_64"),
-        &updates,
-        |bencher, updates| {
-            bencher.iter(|| {
-                let mut m = Matrix::<f64>::new(n, n).expect("new");
-                for (k, &(i, j, x)) in updates.iter().enumerate() {
-                    m.set_element(i, j, x).expect("set");
-                    if k % 64 == 0 {
-                        m.wait();
-                    }
-                }
-                m.nvals()
-            })
-        },
-    );
-    report_stats("ablation/updates/eager_every_64");
+    let nonblocking = || {
+        let mut m = Matrix::<f64>::new(n, n).expect("new");
+        for &(i, j, x) in &updates {
+            m.set_element(i, j, x).expect("set");
+        }
+        m.nvals()
+    };
+    group.bench_function(BenchmarkId::new("updates", "nonblocking"), |bencher| {
+        bencher.iter(nonblocking)
+    });
+    report_run("ablation/updates/nonblocking", nonblocking);
+    let eager = || {
+        let mut m = Matrix::<f64>::new(n, n).expect("new");
+        for (k, &(i, j, x)) in updates.iter().enumerate() {
+            m.set_element(i, j, x).expect("set");
+            if k % 64 == 0 {
+                m.wait();
+            }
+        }
+        m.nvals()
+    };
+    group.bench_function(BenchmarkId::new("updates", "eager_every_64"), |bencher| {
+        bencher.iter(eager)
+    });
+    report_run("ablation/updates/eager_every_64", eager);
 
     // Opacity cost: point reads on a fully assembled matrix must be as
     // cheap as the underlying binary search.
@@ -85,18 +77,9 @@ fn bench(c: &mut Criterion) {
         m.wait();
         m
     };
-    group.bench_function("point_reads_assembled", |bencher| {
-        bencher.iter(|| {
-            let mut hits = 0;
-            for k in 0..1000 {
-                if m.get((k * 37) % n, (k * 101) % n).is_some() {
-                    hits += 1;
-                }
-            }
-            hits
-        })
-    });
-    report_stats("ablation/point_reads_assembled");
+    let point_reads = || (0..1000).filter(|k| m.get((k * 37) % n, (k * 101) % n).is_some()).count();
+    group.bench_function("point_reads_assembled", |bencher| bencher.iter(point_reads));
+    report_run("ablation/point_reads_assembled", point_reads);
     group.finish();
 }
 

@@ -3,11 +3,13 @@
 //! to serve.
 
 use criterion::Criterion;
+use lagraph::gen::{rmat_graph, RmatConfig};
 use lagraph::*;
-use lagraph_bench::{criterion_config, rmat_graph};
+use lagraph_bench::criterion_config;
 
 fn bench(c: &mut Criterion) {
-    let g = rmat_graph(10, 16, 1);
+    let g = rmat_graph(&RmatConfig { scale: 10, edge_factor: 16, seed: 1, ..Default::default() })
+        .expect("rmat");
     // Warm the caches outside the timing loops.
     let _ = (g.structure(), g.at(), g.out_degree());
     let mut group = c.benchmark_group("algorithms_rmat_s10");

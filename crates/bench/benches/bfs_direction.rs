@@ -6,12 +6,14 @@
 use criterion::{BenchmarkId, Criterion};
 use graphblas::Direction;
 use lagraph::bfs_level_direction;
-use lagraph_bench::{criterion_config, rmat_graph};
+use lagraph::gen::{rmat_graph, RmatConfig};
+use lagraph_bench::criterion_config;
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("bfs_direction");
     for scale in [10u32, 12] {
-        let g = rmat_graph(scale, 16, 7);
+        let g = rmat_graph(&RmatConfig { scale, edge_factor: 16, seed: 7, ..Default::default() })
+            .expect("rmat");
         // Warm the caches (structure + dual) outside the timing loop.
         let _ = g.structure();
         for (name, dir) in

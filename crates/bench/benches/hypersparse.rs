@@ -6,21 +6,14 @@
 
 use criterion::{BenchmarkId, Criterion};
 use graphblas::prelude::*;
-use lagraph_bench::criterion_config;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-fn tuples(n: Index, e: usize, seed: u64) -> Vec<(Index, Index, f64)> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..e).map(|_| (rng.gen_range(0..n), rng.gen_range(0..n), 1.0)).collect()
-}
+use lagraph_bench::{criterion_config, random_tuples};
 
 fn bench(c: &mut Criterion) {
     let e = 10_000usize;
     let mut group = c.benchmark_group("hypersparse");
     for log_n in [12u32, 24, 40] {
         let n: Index = 1 << log_n;
-        let t = tuples(n, e, 3);
+        let t = random_tuples(n, e, 3);
         group.bench_with_input(BenchmarkId::new("build_10k", log_n), &t, |bencher, t| {
             bencher.iter(|| Matrix::from_tuples(n, n, t.clone(), |_, b| b).expect("build").nvals())
         });

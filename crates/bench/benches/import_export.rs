@@ -4,8 +4,8 @@
 
 use criterion::{BenchmarkId, Criterion};
 use graphblas::prelude::*;
+use lagraph::gen::random_matrix;
 use lagraph_bench::criterion_config;
-use lagraph_io::random_matrix;
 
 fn bench(c: &mut Criterion) {
     let n: Index = 1 << 12;

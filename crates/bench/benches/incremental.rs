@@ -7,14 +7,7 @@
 
 use criterion::{BenchmarkId, Criterion};
 use graphblas::prelude::*;
-use lagraph_bench::criterion_config;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-fn random_tuples(n: Index, e: usize, seed: u64) -> Vec<(Index, Index, f64)> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..e).map(|_| (rng.gen_range(0..n), rng.gen_range(0..n), rng.gen())).collect()
-}
+use lagraph_bench::{criterion_config, random_tuples};
 
 fn bench(c: &mut Criterion) {
     let n: Index = 1 << 14;

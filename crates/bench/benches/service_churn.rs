@@ -30,9 +30,9 @@
 //! maintenance is actually absorbing the churn.
 
 use graphblas::metrics;
+use lagraph::gen::{rmat_graph, RmatConfig};
 use lagraph::service::{GraphService, Query, ServiceConfig, ViewKind, ViewsConfig};
 use lagraph::{bfs_level, pagerank, triangle_count, PageRankOptions, TriCountMethod};
-use lagraph_bench::rmat_graph;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -282,7 +282,8 @@ fn main() {
         std::env::var("SERVICE_CHURN_SECS").ok().and_then(|v| v.parse().ok()).unwrap_or(4);
     let scale = 12; // 4096 vertices, ~64k edges: big enough to make
                     // assembly and queries non-trivial, small enough for CI
-    let graph = rmat_graph(scale, 16, 42);
+    let graph = rmat_graph(&RmatConfig { scale, edge_factor: 16, seed: 42, ..Default::default() })
+        .expect("rmat");
     let n = graph.nvertices();
     println!("service_churn: rmat scale={scale} n={n} e={} phase={secs}s", graph.nedges());
 

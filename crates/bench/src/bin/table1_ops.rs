@@ -9,7 +9,7 @@
 use graphblas::mimic::{self, DMat, DVec};
 use graphblas::prelude::*;
 use graphblas::semiring::PLUS_TIMES;
-use lagraph_io::{random_matrix, RmatParams};
+use lagraph::gen::random_matrix;
 
 fn check(name: &str, math: &str, ok: bool) {
     println!("  {:<12} {:<28} {}", name, math, if ok { "conforms" } else { "MISMATCH" });
@@ -17,7 +17,6 @@ fn check(name: &str, math: &str, ok: bool) {
 }
 
 fn main() -> graphblas::Result<()> {
-    let _ = RmatParams::default();
     println!("Table I: the fundamental GraphBLAS operations");
     println!("(each checked against the dense reference mimic on random inputs)\n");
     println!("  {:<12} {:<28} status", "operation", "mathematical form");

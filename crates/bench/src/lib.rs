@@ -9,8 +9,7 @@ pub mod json;
 
 use graphblas::prelude::*;
 use graphblas::trace;
-use lagraph::{Graph, GraphKind};
-use lagraph_io::{rmat, RmatParams};
+use lagraph::gen::{permutation, random_matrix, rmat, RmatConfig};
 use std::time::{Duration, Instant};
 
 /// Criterion settings tuned so the full `cargo bench` pass finishes in
@@ -24,21 +23,10 @@ pub fn criterion_config() -> criterion::Criterion {
         .configure_from_args()
 }
 
-/// An undirected RMAT graph with unit weights, as a [`Graph`].
-pub fn rmat_graph(scale: u32, edge_factor: usize, seed: u64) -> Graph {
-    let adj = rmat(&RmatParams { scale, edge_factor, seed, ..Default::default() })
-        .expect("rmat generation");
-    let n = adj.nrows();
-    let mut w = Matrix::<f64>::new(n, n).expect("weights dims");
-    apply_matrix(&mut w, None, NOACC, unaryop::One, &adj, &Descriptor::default())
-        .expect("unit weights");
-    Graph::new(w, GraphKind::Undirected).expect("square adjacency")
-}
-
 /// The Boolean structure of an RMAT graph, with dual storage enabled so
 /// both push and pull kernels are available.
 pub fn rmat_structure_dual(scale: u32, edge_factor: usize, seed: u64) -> Matrix<bool> {
-    let mut adj = rmat(&RmatParams { scale, edge_factor, seed, ..Default::default() })
+    let mut adj = rmat(&RmatConfig { scale, edge_factor, seed, ..Default::default() })
         .expect("rmat generation");
     adj.set_dual_storage(true);
     adj.wait();
@@ -54,45 +42,55 @@ pub fn frontier(n: Index, k: usize) -> Vector<bool> {
     Vector::from_tuples(n, tuples, |_, b| b).expect("frontier dims")
 }
 
-/// Snapshot-and-reset the graphblas perf counters, printing one compact
-/// report line so a bench run shows *which* kernels and dispatch paths the
-/// measured region actually took. Prints nothing when every counter is
-/// zero (counters are compiled in via the `stats` feature).
-pub fn report_stats(label: &str) {
-    let s = graphblas::stats::snapshot();
-    graphblas::stats::reset();
-    if s == graphblas::stats::Snapshot::default() {
-        return;
-    }
-    eprintln!(
-        "stats[{label}]: mxm g/d/h={}/{}/{} mxv push/pull/fallback={}/{}/{} \
-         flops~{} dispatch par/seq={}/{} chunks={} early_exits={} assemblies={}",
-        s.mxm_gustavson,
-        s.mxm_dot,
-        s.mxm_heap,
-        s.mxv_push,
-        s.mxv_pull,
-        s.mxv_dual_fallback,
-        s.flops_est,
-        s.par_calls,
-        s.seq_calls,
-        s.chunks_spawned,
-        s.reduce_early_exits,
-        s.assembles,
-    );
+/// `e` uniform random entries of an `n × n` matrix (duplicate draws
+/// collapsed) as a tuple list in random order, the input shape of the
+/// build benchmarks.
+pub fn random_tuples(n: Index, e: usize, seed: u64) -> Vec<(Index, Index, f64)> {
+    let t = random_matrix(n, n, e, seed).expect("random matrix").extract_tuples();
+    permutation(t.len(), seed).into_iter().map(|k| t[k]).collect()
 }
 
-/// Run `f` once with tracing in record mode and print the aggregated
-/// [`trace::Profile`] table (per-span counts, latency quantiles, flops)
-/// for that single invocation. The previous trace mode is restored, so
-/// the timed criterion loops stay untraced: benches profile one
-/// representative run instead of diffing raw counter snapshots.
-pub fn profile_once<R>(label: &str, f: impl FnOnce() -> R) -> R {
+/// Run `f` once with tracing in record mode on an emptied ring, leaving
+/// its events for the caller to drain. The previous trace mode is
+/// restored, so the timed criterion loops stay untraced.
+fn traced<R>(f: impl FnOnce() -> R) -> R {
     let prev = trace::mode();
     trace::clear();
     trace::set_mode(trace::Mode::Record);
     let r = f();
     trace::set_mode(prev);
+    r
+}
+
+/// Run `f` once traced and print one compact [`trace::RunAggregate`]
+/// line, so a bench run shows *which* kernels and directions the
+/// measured configuration actually took.
+pub fn report_run<R>(label: &str, f: impl FnOnce() -> R) -> R {
+    let r = traced(f);
+    let s = trace::RunAggregate::from_events(&trace::drain());
+    eprintln!(
+        "run[{label}]: mxm g/d/h={}/{}/{} mxv push/pull/fallback={}/{}/{} \
+         flops~{} chunks={} early_exits={} assemblies={}",
+        s.mxm_gustavson,
+        s.mxm_dot,
+        s.mxm_heap,
+        s.push,
+        s.pull,
+        s.direction_fallbacks,
+        s.total_flops,
+        s.chunks,
+        s.early_exits,
+        s.assemblies,
+    );
+    r
+}
+
+/// Run `f` once traced and print the aggregated [`trace::Profile`] table
+/// (per-span counts, latency quantiles, flops) for that single
+/// invocation: benches profile one representative run instead of tracing
+/// the timed loops.
+pub fn profile_once<R>(label: &str, f: impl FnOnce() -> R) -> R {
+    let r = traced(f);
     let profile = trace::Profile::collect();
     if !profile.ops.is_empty() {
         eprint!("profile[{label}]\n{}", profile.report());

@@ -6,8 +6,8 @@
 //! report all results on synthetic scale-free inputs: Graph500-style
 //! RMAT/Kronecker graphs at a given *scale* (log₂ vertex count) and
 //! *edge factor* (average degree). This module generates those workloads
-//! directly as GraphBLAS matrices, with two properties the simpler
-//! sequential generators in `lagraph-io` do not have:
+//! directly as GraphBLAS matrices, and is the only generator library in
+//! the workspace. Every generator has two properties:
 //!
 //! * **Thread-count independence.** Every edge is a pure function of
 //!   `(seed, edge index)` via a counter-based [SplitMix64] stream, so the
@@ -23,7 +23,9 @@
 //! [`rmat`] (skewed, Graph500 parameters), [`erdos_renyi`] (uniform
 //! random), and [`uniform_degree`] (fixed out-degree), plus weighted
 //! variants for shortest-path workloads and the [`Workload`] enum the
-//! `lagraph-bench` harness selects between.
+//! `lagraph-bench` harness selects between. Tests and kernel benches
+//! also draw on [`grid2d`] (a mesh with known BFS levels) and
+//! [`random_matrix`] (uniform rectangular entries).
 //!
 //! [SplitMix64]: https://prng.di.unimi.it/splitmix64.c
 
@@ -353,6 +355,43 @@ pub fn uniform_degree_undirected(n: Index, d: usize, seed: u64) -> Result<Matrix
         tuples.extend_from_slice(&c);
     }
     Matrix::from_tuples(n, n, tuples, |_, b| b)
+}
+
+// ---------------------------------------------------------------------------
+// Meshes and rectangular matrices
+// ---------------------------------------------------------------------------
+
+/// A 2-D grid (mesh) graph of `rows × cols` vertices with 4-neighbor
+/// connectivity and unit weights; vertex id = `r * cols + c`. BFS levels
+/// from a corner are Manhattan distances plus one, which makes it an
+/// oracle-friendly input.
+pub fn grid2d(rows: Index, cols: Index) -> Result<Matrix<f64>> {
+    let n = rows * cols;
+    let tuples = par_edges(n, 4, |v, out| {
+        let (r, c) = (v / cols, v % cols);
+        if c + 1 < cols {
+            out.push((v, v + 1, 1.0));
+            out.push((v + 1, v, 1.0));
+        }
+        if r + 1 < rows {
+            out.push((v, v + cols, 1.0));
+            out.push((v + cols, v, 1.0));
+        }
+    });
+    Matrix::from_tuples(n, n, tuples, |_, b| b)
+}
+
+/// A random sparse `nrows × ncols` matrix from `nnz` entry draws with
+/// uniform coordinates and values uniform in `[-1, 1)`; duplicate draws
+/// keep the last value, so `nvals ≤ nnz`.
+pub fn random_matrix(nrows: Index, ncols: Index, nnz: usize, seed: u64) -> Result<Matrix<f64>> {
+    let tuples = par_edges(nnz, 3, |k, out| {
+        let mut s = Stream::new(seed, k as u64);
+        let i = s.next_below(nrows as u64) as Index;
+        let j = s.next_below(ncols as u64) as Index;
+        out.push((i, j, 2.0 * s.next_f64() - 1.0));
+    });
+    Matrix::from_tuples(nrows, ncols, tuples, |_, b| b)
 }
 
 // ---------------------------------------------------------------------------

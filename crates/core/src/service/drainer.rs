@@ -8,7 +8,7 @@
 //! before dispatching any of them, so one epoch contains exactly the
 //! updates accepted before the cut — never a prefix of one shard and a
 //! suffix of another. Each edge is routed to exactly one shard by a
-//! pure function of its canonical key ([`Partitioner`]), so per-edge
+//! pure function of its canonical key ([`RowBlock`]), so per-edge
 //! replay order equals submission order at any shard count, and the
 //! combined matrix is a disjoint union — the S∈{1,2,4} differential
 //! tests check it is *bit-identical* to a single-shard replay.
@@ -19,7 +19,7 @@
 //! returns [`ServiceError::DrainerFailed`] instead of hanging on an
 //! epoch that will never arrive.
 //!
-//! [`Partitioner`]: super::Partitioner
+//! [`RowBlock`]: super::RowBlock
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering::{Relaxed, SeqCst};
@@ -30,7 +30,7 @@ use graphblas::binaryop;
 use graphblas::trace;
 use graphblas::{ops, Descriptor, Error as GrbError, Matrix};
 
-use super::{now_unix_ns, panic_message, Partitioner, Shared, Snapshot, Update};
+use super::{now_unix_ns, panic_message, RowBlock, Shared, Snapshot, Update};
 use crate::graph::{Graph, GraphKind};
 
 /// What the coordinator asks a shard worker to do next.
@@ -57,7 +57,7 @@ pub(crate) struct ShardDone {
 
 /// Per-shard worker state: a command slot, a completion slot, and the
 /// shard's private master sub-matrix (holding exactly the edges the
-/// partitioner routes to this shard).
+/// router sends to this shard).
 pub(crate) struct ShardWorker {
     cmd: Mutex<SlotCmd>,
     cmd_cv: Condvar,
@@ -89,16 +89,16 @@ impl ShardWorker {
 /// undirected edge land in the owning shard.
 pub(crate) fn split_masters(
     initial: &Graph,
-    partitioner: &dyn Partitioner,
+    router: &RowBlock,
     compressed: bool,
 ) -> Result<Vec<ShardWorker>, GrbError> {
     let n = initial.nvertices();
     let undirected = initial.kind() == GraphKind::Undirected;
     let epoch = initial.epoch();
-    let mut per: Vec<Vec<(usize, usize, f64)>> = vec![Vec::new(); partitioner.shards()];
+    let mut per: Vec<Vec<(usize, usize, f64)>> = vec![Vec::new(); router.shards()];
     for (i, j, v) in initial.a().iter() {
         let (ki, kj) = if undirected && i > j { (j, i) } else { (i, j) };
-        per[partitioner.shard_of(ki, kj)].push((i, j, v));
+        per[router.shard_of(ki, kj)].push((i, j, v));
     }
     per.into_iter()
         .map(|tuples| {

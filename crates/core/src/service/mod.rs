@@ -23,15 +23,14 @@
 //!  epoch ──────┤── shard 1 drainer ──▶ sub-matrix 1       ⋮
 //!  coordinator └── shard S-1 drainer ▶ sub-matrix S-1
 //!                   ▲ replay own slice of the update log
-//!  writers ──▶ per-shard bounded queues, routed by [`Partitioner`]
+//!  writers ──▶ per-shard bounded queues, routed by [`RowBlock`]
 //!              (block / coalesce / reject)
 //! ```
 //!
 //! * **Writers** call [`GraphService::insert_edge`] / [`delete_edge`]
-//!   (or [`submit`] with an explicit [`Update`]). A [`Partitioner`] —
-//!   row-block by default, 2D/hypersparse or hashed on request — routes
-//!   each update to the shard owning its (canonicalized) edge key; when
-//!   that shard's bounded queue is full the configured
+//!   (or [`submit`] with an explicit [`Update`]). A [`RowBlock`] router
+//!   sends each update to the shard owning its (canonicalized) edge
+//!   key; when that shard's bounded queue is full the configured
 //!   [`BackpressurePolicy`] decides whether the writer blocks, coalesces
 //!   against a queued update to the same edge, or is rejected.
 //! * **The epoch coordinator** cuts a consistent batch across *all*
@@ -119,7 +118,7 @@ mod drainer;
 
 pub use admission::{AdmissionConfig, AdmissionStats, Query, QueryResult};
 pub use cache::QueryCache;
-pub use partition::{EdgeHash, Grid2D, Partitioner, RowBlock};
+pub use partition::RowBlock;
 pub use views::{ViewKind, ViewStat, ViewsConfig};
 
 use crate::graph::{Graph, GraphKind};
@@ -177,9 +176,8 @@ pub enum BackpressurePolicy {
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Number of shards: per-shard update queues, drainer threads, and
-    /// graph sub-matrices. Routing defaults to a [`RowBlock`]
-    /// partitioner over this many shards; ignored when `partitioner` is
-    /// set (the partitioner's own shard count wins). Clamped to ≥ 1.
+    /// graph sub-matrices; edges are routed by a [`RowBlock`] over this
+    /// many shards. Clamped to `1..=nvertices`.
     pub shards: usize,
     /// Per-shard queue bound. A full shard triggers the backpressure
     /// policy, so `shards × queue_capacity` bounds service memory.
@@ -196,11 +194,6 @@ pub struct ServiceConfig {
     /// in half on power-law graphs for a modest re-encode cost per
     /// epoch. Implied when the initial graph was loaded from `.lagc`.
     pub compressed: bool,
-    /// The edge-to-shard routing policy. `None` (the default) builds a
-    /// [`RowBlock`] over `shards`; set to a [`Grid2D`] for the
-    /// 2D/hypersparse decomposition or [`EdgeHash`] for skew-proof
-    /// hashing.
-    pub partitioner: Option<Arc<dyn Partitioner>>,
     /// Query-admission tuning (batch window, batch width, cache size).
     pub admission: AdmissionConfig,
     /// Materialized analytic views to register at startup
@@ -223,7 +216,6 @@ impl Default for ServiceConfig {
             policy: BackpressurePolicy::Block,
             max_batch: 1 << 20,
             compressed: false,
-            partitioner: None,
             admission: AdmissionConfig::default(),
             views: None,
             fail_epoch: None,
@@ -532,7 +524,7 @@ pub(crate) struct Shared {
     pub(crate) policy: BackpressurePolicy,
     pub(crate) kind: GraphKind,
     pub(crate) nvertices: Index,
-    pub(crate) partitioner: Arc<dyn Partitioner>,
+    pub(crate) router: RowBlock,
     /// The currently served snapshot; swapped wholesale per epoch.
     pub(crate) snapshot: RwLock<Arc<Snapshot>>,
     /// Accepted updates (after coalescing: a coalesced write replaces a
@@ -608,8 +600,7 @@ pub struct ServiceStats {
 }
 
 impl GraphService {
-    /// Start serving `initial`: split it across the partitioner's
-    /// shards, spawn one drainer thread per shard plus the epoch
+    /// Start serving `initial`: split it across the row-block shards, spawn one drainer thread per shard plus the epoch
     /// coordinator, and stand up the admission layer. The graph's kind
     /// governs update semantics: on an undirected graph every
     /// insert/delete is applied to both arcs atomically within one epoch.
@@ -618,16 +609,13 @@ impl GraphService {
         let max_batch = config.max_batch.max(1);
         let kind = initial.kind();
         let nvertices = initial.nvertices();
-        let partitioner: Arc<dyn Partitioner> = match &config.partitioner {
-            Some(p) => p.clone(),
-            None => Arc::new(RowBlock::new(nvertices, config.shards.max(1))),
-        };
-        let shards = partitioner.shards();
+        let router = RowBlock::new(nvertices, config.shards);
+        let shards = router.shards();
         let compressed = config.compressed;
         // Each shard's private working copy holds exactly the edges the
-        // partitioner routes to it; the served snapshot is immutable, so
+        // router sends to it; the served snapshot is immutable, so
         // the sub-matrices start as a routed split of the initial graph.
-        let workers_state = Arc::new(drainer::split_masters(&initial, &*partitioner, compressed)?);
+        let workers_state = Arc::new(drainer::split_masters(&initial, &router, compressed)?);
         let nedges = initial.nedges();
         let initial = Arc::new(initial);
         let views_cfg = config.views.clone().unwrap_or_default();
@@ -640,7 +628,7 @@ impl GraphService {
             policy: config.policy,
             kind,
             nvertices,
-            partitioner,
+            router,
             snapshot: RwLock::new(Arc::new(Snapshot {
                 epoch: initial.epoch(),
                 nedges,
@@ -801,7 +789,7 @@ impl GraphService {
         let key = update.key();
         // Pure-function routing: every update to one edge goes through
         // one shard, so per-edge order is preserved at any shard count.
-        let si = self.shared.partitioner.shard_of(key.0, key.1);
+        let si = self.shared.router.shard_of(key.0, key.1);
         let shard = &self.shared.shards[si];
         let mut q = shard.queue.lock().expect("shard lock");
         let mut hit_backpressure = false;
@@ -1097,17 +1085,13 @@ mod tests {
     }
 
     #[test]
-    fn grid_partitioner_serves_updates() {
+    fn row_block_serves_cross_shard_undirected_updates() {
         let g = Graph::from_edges(16, &[(0, 1), (1, 2)], GraphKind::Undirected).expect("graph");
-        let s = GraphService::new(
-            g,
-            ServiceConfig {
-                partitioner: Some(Arc::new(Grid2D::new(16, 2, 2))),
-                ..ServiceConfig::default()
-            },
-        )
-        .expect("service");
-        s.insert_edge(14, 3, 1.0).expect("insert"); // canonical (3,14) → off-diagonal block
+        let s = GraphService::new(g, ServiceConfig { shards: 4, ..ServiceConfig::default() })
+            .expect("service");
+        // Rows 14 and 3 sit in different row blocks; the canonical key
+        // (3,14) routes to shard 0, which replays both arcs.
+        s.insert_edge(14, 3, 1.0).expect("insert");
         s.delete_edge(0, 1).expect("delete");
         let snap = s.flush().expect("flush");
         assert_eq!(snap.graph().a().get(14, 3), Some(1.0));

@@ -9,7 +9,7 @@
 //! bit-identical.
 
 use lagraph::gen::{
-    erdos_renyi, erdos_renyi_weighted, rmat, rmat_weighted, uniform_degree,
+    erdos_renyi, erdos_renyi_weighted, grid2d, random_matrix, rmat, rmat_weighted, uniform_degree,
     uniform_degree_undirected, RmatConfig, Workload,
 };
 
@@ -81,6 +81,52 @@ fn uniform_degree_is_thread_count_independent() {
     assert_thread_independent("uniform_degree_undirected", || {
         uniform_degree_undirected(300, 9, 3).expect("uniform undirected").extract_tuples()
     });
+}
+
+#[test]
+fn grid_and_random_matrix_are_thread_count_independent() {
+    let bits = |m: graphblas::Matrix<f64>| -> Vec<(usize, usize, u64)> {
+        m.extract_tuples().into_iter().map(|(i, j, x)| (i, j, x.to_bits())).collect()
+    };
+    assert_thread_independent("grid2d", || bits(grid2d(17, 23).expect("grid")));
+    assert_thread_independent("random_matrix", || {
+        bits(random_matrix(200, 300, 4000, 5).expect("random matrix"))
+    });
+}
+
+/// Interior grid vertices have four neighbors, corners two, and every
+/// arc has unit weight.
+#[test]
+fn grid2d_degrees_follow_the_mesh() {
+    let g = grid2d(3, 4).expect("grid");
+    assert_eq!((g.nrows(), g.ncols()), (12, 12));
+    let mut deg = [0usize; 12];
+    for (i, j, w) in g.iter() {
+        assert_eq!(w, 1.0);
+        assert_eq!(g.get(j, i), Some(1.0), "symmetric at ({i},{j})");
+        deg[i] += 1;
+    }
+    assert_eq!(deg[5], 4, "interior vertex (1,1)");
+    assert_eq!(deg[0], 2, "corner (0,0)");
+    assert_eq!(g.get(0, 1), Some(1.0));
+    assert_eq!(g.get(0, 4), Some(1.0));
+    // 2·(rows·(cols−1) + (rows−1)·cols) arcs.
+    assert_eq!(g.nvals(), 2 * (3 * 3 + 2 * 4));
+    assert!(grid2d(0, 5).is_err(), "matrices need dimensions >= 1");
+}
+
+#[test]
+fn random_matrix_respects_shape_and_range() {
+    let m = random_matrix(10, 20, 50, 3).expect("random matrix");
+    assert_eq!((m.nrows(), m.ncols()), (10, 20));
+    assert!(m.nvals() <= 50);
+    assert!(m.nvals() > 30);
+    assert!(m.iter().all(|(_, _, x)| (-1.0..1.0).contains(&x)));
+    assert_ne!(
+        m.extract_tuples(),
+        random_matrix(10, 20, 50, 4).expect("reseeded").extract_tuples()
+    );
+    assert!(random_matrix(0, 7, 9, 1).is_err(), "matrices need dimensions >= 1");
 }
 
 #[test]

@@ -174,7 +174,7 @@ fn sharded_serving_series_render_clean() {
     )
     .expect("service");
     // Rows on both halves, so both shard drainers replay updates under
-    // the default row-block partitioner.
+    // row-block routing.
     for k in 0..64usize {
         s.insert_edge(k, (k + 3) % n, 1.0).expect("low rows");
         s.insert_edge(n - 1 - k, k, 1.0).expect("high rows");

@@ -32,7 +32,7 @@
 //! | §II.E direction optimization | push/pull choice, measured cost model | [`cost`], `ops::mxv` |
 //! | §IV O(1) data movement | import/export of raw arrays | [`import`] |
 //! | §III testing methodology | the dense "MATLAB mimic" reference | [`mimic`] |
-//! | (SuiteSparse "burble") | runtime tracing, profiling, Chrome traces | [`trace`], [`stats`] |
+//! | (SuiteSparse "burble") | runtime tracing, profiling, Chrome traces | [`trace`] |
 //! | (serving telemetry) | live counters/gauges/histograms, Prometheus `/metrics` | [`metrics`] |
 //! | (execution substrate) | the chunked worker pool every kernel uses | [`parallel`] |
 //! | (C API `GrB_Info`) | typed error codes | [`error`] |
@@ -54,7 +54,6 @@ pub mod metrics;
 pub mod monoid;
 pub mod parallel;
 pub mod semiring;
-pub mod stats;
 pub mod trace;
 pub mod types;
 pub mod unaryop;

@@ -39,13 +39,11 @@
 //!
 //! With tracing disabled the per-operation cost is **one relaxed atomic
 //! load** in the span constructor (plus one per parallel dispatch) — no
-//! clock reads, no allocation, no branches on the data path. The
-//! compile-time [`crate::stats`] counters are one *consumer* of these
-//! hooks: every recording function here forwards to the corresponding
-//! counter (an empty inline stub unless the `stats` feature is on), so
-//! kernels call a single API and the two mechanisms cannot drift apart.
+//! clock reads, no allocation, no branches on the data path. Spans are
+//! the only instrumentation hook: each closed span feeds the ring (when
+//! tracing is on) and the [`crate::metrics`] registry (when that layer
+//! is on), so kernels call a single API.
 
-use crate::stats;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -274,7 +272,7 @@ impl Event {
 }
 
 // ---------------------------------------------------------------------------
-// Op / kernel vocabulary (stats routing)
+// Op / kernel vocabulary
 // ---------------------------------------------------------------------------
 
 /// The instrumented operations. Every entry point in [`crate::ops`] opens
@@ -347,26 +345,9 @@ impl Op {
             Op::AssembleVector => "assemble.vector",
         }
     }
-
-    /// The per-op stats counter this op feeds, if any (mxm/mxv/vxm are
-    /// counted by their kernel/direction counters instead).
-    fn counter(self) -> Option<stats::OpTag> {
-        match self {
-            Op::EwiseAdd | Op::EwiseMult => Some(stats::OpTag::Ewise),
-            Op::Apply => Some(stats::OpTag::Apply),
-            Op::Select => Some(stats::OpTag::Select),
-            Op::Reduce => Some(stats::OpTag::Reduce),
-            Op::Transpose => Some(stats::OpTag::Transpose),
-            Op::Assign => Some(stats::OpTag::Assign),
-            Op::Extract => Some(stats::OpTag::Extract),
-            Op::Kron => Some(stats::OpTag::Kron),
-            _ => None,
-        }
-    }
 }
 
-/// Which kernel / direction an op chose. Routed to the corresponding
-/// stats counters and recorded on the span.
+/// Which kernel / direction an op chose, recorded on the span.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Kernel {
     Gustavson,
@@ -419,34 +400,6 @@ impl Kernel {
             Kernel::PullSpec => "pull(specialized)",
             Kernel::FusedReduce => "fused(dot+reduce)",
             Kernel::FusedSelect => "fused(dot+select)",
-        }
-    }
-
-    fn route_stats(self) {
-        use stats::{MxmKernel, MxvPath};
-        match self {
-            Kernel::Gustavson | Kernel::GustavsonSpec => {
-                stats::record_mxm_kernel(MxmKernel::Gustavson)
-            }
-            // The fused kernels are masked dot products at heart.
-            Kernel::Dot
-            | Kernel::DotSpec
-            | Kernel::CompressedDot
-            | Kernel::FusedReduce
-            | Kernel::FusedSelect => stats::record_mxm_kernel(MxmKernel::Dot),
-            Kernel::Heap => stats::record_mxm_kernel(MxmKernel::Heap),
-            Kernel::Push | Kernel::PushMasked | Kernel::PushSpec | Kernel::PushMaskedSpec => {
-                stats::record_mxv_path(MxvPath::Push)
-            }
-            Kernel::Pull | Kernel::PullSpec => stats::record_mxv_path(MxvPath::Pull),
-            Kernel::PushFallback => {
-                stats::record_mxv_dual_fallback();
-                stats::record_mxv_path(MxvPath::Push);
-            }
-            Kernel::PullFallback => {
-                stats::record_mxv_dual_fallback();
-                stats::record_mxv_path(MxvPath::Pull);
-            }
         }
     }
 }
@@ -518,19 +471,15 @@ impl Span {
         }
     }
 
-    /// Record the kernel/direction chosen, and count it in the stats
-    /// counters (the single call sites for those counters).
+    /// Record the kernel/direction chosen.
     pub(crate) fn kernel(&mut self, k: Kernel) {
-        k.route_stats();
         if let Some(r) = &mut self.rec {
             r.kernel = Some(k.name());
         }
     }
 
-    /// Record the op's work estimate (order of flops), also accumulated
-    /// into the stats flops counter.
+    /// Record the op's work estimate (order of flops).
     pub(crate) fn flops(&mut self, n: usize) {
-        stats::add_flops(n);
         if let Some(r) = &mut self.rec {
             r.args.push(("flops", ArgValue::U64(n as u64)));
         }
@@ -566,12 +515,8 @@ impl Drop for Span {
     }
 }
 
-/// Open a span for a GraphBLAS operation; counts the op in the stats
-/// layer regardless of trace mode.
+/// Open a span for a GraphBLAS operation.
 pub(crate) fn op_span(op: Op) -> Span {
-    if let Some(tag) = op.counter() {
-        stats::record_op(tag);
-    }
     Span::new(op.name(), Cat::Op)
 }
 
@@ -597,11 +542,10 @@ pub(crate) fn runtime_span(name: &'static str) -> Span {
 // ---------------------------------------------------------------------------
 
 /// Record one `par_chunks` dispatch: `chunks == 1` means the work stayed
-/// on the calling thread. Counted in stats always; when tracing is on the
-/// chunk count is accumulated for the enclosing span and parallel
-/// dispatches emit an instant event.
+/// on the calling thread. Counted in the metrics registry when that layer
+/// is on; when tracing is on the chunk count is accumulated for the
+/// enclosing span and parallel dispatches emit an instant event.
 pub(crate) fn dispatch(chunks: usize, est_work: usize) {
-    stats::record_dispatch(chunks);
     crate::metrics::record_dispatch(chunks);
     if !enabled() {
         return;
@@ -625,7 +569,6 @@ pub(crate) fn dispatch(chunks: usize, est_work: usize) {
 
 /// Record a reduction that short-circuited on a terminal value.
 pub(crate) fn early_exit() {
-    stats::record_early_exit();
     if !enabled() {
         return;
     }
@@ -642,8 +585,7 @@ pub(crate) fn early_exit() {
 
 /// Record a direction misprediction: after the kernel ran, the measured
 /// flop count priced higher than the cost model's estimate for the
-/// direction it rejected. Counted in stats; when tracing is on an instant
-/// event (tagged with the chosen kernel and both estimates) makes the
+/// direction it rejected. When tracing is on an instant event (tagged with the chosen kernel and both estimates) makes the
 /// mispredicted products visible in the Chrome trace.
 pub(crate) fn mxv_mispredict(
     chosen: &'static str,
@@ -651,7 +593,6 @@ pub(crate) fn mxv_mispredict(
     est_other: usize,
     actual: usize,
 ) {
-    stats::record_mxv_mispredict();
     if !enabled() {
         return;
     }
@@ -688,9 +629,8 @@ pub(crate) fn cost_calibrated(push_ns: f64, pull_ns: f64) {
 }
 
 /// Open a span around a lazy assembly, tagged with the deferred-update
-/// backlog it resolves. Counts the assembly in the stats layer.
+/// backlog it resolves.
 pub(crate) fn assemble_span(op: Op, pending: usize, zombies: usize) -> Span {
-    stats::record_assemble();
     let mut s = Span::new(op.name(), Cat::Runtime);
     s.arg("pending", pending);
     s.arg("zombies", zombies);
@@ -1077,8 +1017,8 @@ impl OpProfile {
 }
 
 /// Per-op aggregation of a batch of span events: counts, latency and
-/// work histograms. This replaces diffing raw [`stats::Snapshot`]s as
-/// the way benches and tools summarize *what ran and what it cost*.
+/// work histograms: the way benches and tools summarize *what ran and
+/// what it cost*.
 #[derive(Debug, Clone, Default)]
 pub struct Profile {
     /// Aggregates keyed by span name, sorted for stable reports.

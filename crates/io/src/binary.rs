@@ -35,6 +35,12 @@ use graphblas::{Error, Index, Matrix, Result, Scalar};
 
 const MAGIC: &[u8; 8] = b"LAGRBIN1";
 
+/// Largest up-front reservation a header count may request. The counts
+/// are untrusted, so the arrays grow past this only as entries actually
+/// arrive: a hostile count fails on the short read instead of aborting
+/// the process on a huge allocation.
+const RESERVE_CAP: usize = 1 << 16;
+
 fn io_err(e: std::io::Error) -> Error {
     Error::invalid(format!("binary I/O error: {e}"))
 }
@@ -96,15 +102,16 @@ pub fn read_binary<T: Scalar>(mut r: impl Read) -> Result<Matrix<T>> {
     let nrows = read_u64(&mut r)? as Index;
     let ncols = read_u64(&mut r)? as Index;
     let nvals = read_u64(&mut r)? as usize;
-    let mut ptr = Vec::with_capacity(nrows + 1);
-    for _ in 0..=nrows {
+    let nptr = nrows.checked_add(1).ok_or_else(|| Error::invalid("corrupt row count"))?;
+    let mut ptr = Vec::with_capacity(nptr.min(RESERVE_CAP));
+    for _ in 0..nptr {
         ptr.push(read_u64(&mut r)? as usize);
     }
-    let mut idx = Vec::with_capacity(nvals);
+    let mut idx = Vec::with_capacity(nvals.min(RESERVE_CAP));
     for _ in 0..nvals {
         idx.push(read_u64(&mut r)? as Index);
     }
-    let mut val = Vec::with_capacity(nvals);
+    let mut val = Vec::with_capacity(nvals.min(RESERVE_CAP));
     for _ in 0..nvals {
         val.push(T::from_f64(f64::from_bits(read_u64(&mut r)?)));
     }
@@ -171,6 +178,42 @@ mod tests {
     fn garbage_rejected() {
         assert!(read_binary::<f64>(&b"not a file"[..]).is_err());
         assert!(read_binary::<f64>(&b"LAGRBIN1\xff\xff\xff\xff\xff\xff\xff\xff"[..]).is_err());
+    }
+
+    /// A valid `f64` header with the given counts, followed by `body`.
+    fn header(nrows: u64, ncols: u64, nvals: u64, body: &[u64]) -> Vec<u8> {
+        let mut buf = MAGIC.to_vec();
+        let name = f64::NAME.as_bytes();
+        buf.extend((name.len() as u64).to_le_bytes());
+        buf.extend(name);
+        for x in [nrows, ncols, nvals].iter().chain(body) {
+            buf.extend(x.to_le_bytes());
+        }
+        buf
+    }
+
+    #[test]
+    fn hostile_nvals_is_an_error_not_an_abort() {
+        // A well-formed empty row pointer, then a claim of 2^58 entries.
+        let buf = header(4, 4, 1 << 58, &[0; 5]);
+        assert!(read_binary::<f64>(&buf[..]).is_err());
+    }
+
+    #[test]
+    fn hostile_nrows_is_an_error_not_an_abort() {
+        assert!(read_binary::<f64>(&header(1 << 50, 4, 0, &[])[..]).is_err());
+        assert!(read_binary::<f64>(&header(u64::MAX, 4, 0, &[])[..]).is_err());
+    }
+
+    #[test]
+    fn truncated_body_rejected() {
+        let m = Matrix::from_tuples(8, 8, vec![(0, 1, 1.0), (5, 7, 2.0)], |_, b| b).expect("m");
+        let mut buf = Vec::new();
+        write_binary(&m, &mut buf).expect("write");
+        assert!(read_binary::<f64>(&buf[..]).is_ok());
+        for cut in [1, 8, 9, 8 * 3] {
+            assert!(read_binary::<f64>(&buf[..buf.len() - cut]).is_err(), "cut {cut}");
+        }
     }
 
     #[test]

@@ -4,31 +4,29 @@
 //!
 //! Run with: `cargo run --release --example community_detection`
 
+use lagraph_suite::lagraph::gen::erdos_renyi;
 use lagraph_suite::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
-/// Planted-partition graph: `k` blocks of `size` vertices, dense inside
-/// (probability `p_in`), sparse across (`p_out`).
+/// Planted-partition graph: `k` blocks of `size` vertices, each block an
+/// Erdős–Rényi graph of `m_in` edge draws, plus `m_out` draws over all
+/// vertices as the sparse background that links the blocks.
 fn planted_partition(
     k: usize,
     size: usize,
-    p_in: f64,
-    p_out: f64,
+    m_in: usize,
+    m_out: usize,
     seed: u64,
 ) -> graphblas::Result<(Graph, Vec<usize>)> {
     let n = k * size;
-    let mut rng = StdRng::seed_from_u64(seed);
     let mut edges = Vec::new();
-    let truth: Vec<usize> = (0..n).map(|v| v / size).collect();
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let p = if truth[i] == truth[j] { p_in } else { p_out };
-            if rng.gen::<f64>() < p {
-                edges.push((i, j));
-            }
-        }
+    for b in 0..k {
+        let base = b * size;
+        let block = erdos_renyi(size, m_in, seed + b as u64)?;
+        edges.extend(block.iter().filter(|&(i, j, _)| i < j).map(|(i, j, _)| (base + i, base + j)));
     }
+    let background = erdos_renyi(n, m_out, seed + k as u64)?;
+    edges.extend(background.iter().filter(|&(i, j, _)| i < j).map(|(i, j, _)| (i, j)));
+    let truth: Vec<usize> = (0..n).map(|v| v / size).collect();
     Ok((Graph::from_edges(n, &edges, GraphKind::Undirected)?, truth))
 }
 
@@ -60,7 +58,8 @@ fn labels_of(v: &Vector<u64>, n: usize) -> Vec<u64> {
 }
 
 fn main() -> graphblas::Result<()> {
-    let (g, truth) = planted_partition(4, 24, 0.45, 0.02, 11)?;
+    // ~45% density inside a 24-vertex block, ~2% across blocks.
+    let (g, truth) = planted_partition(4, 24, 124, 70, 11)?;
     let n = g.nvertices();
     println!("planted partition: {} vertices in 4 blocks, {} edges", n, g.nedges() / 2);
 

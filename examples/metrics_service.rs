@@ -15,6 +15,7 @@
 //! Run with: `cargo run --release --example metrics_service`
 
 use lagraph_suite::graphblas::metrics;
+use lagraph_suite::lagraph::gen::erdos_renyi_weighted;
 use lagraph_suite::lagraph::service::{GraphService, ServiceConfig};
 use lagraph_suite::prelude::*;
 use std::io::{Read as _, Write as _};
@@ -26,7 +27,7 @@ fn main() -> graphblas::Result<()> {
 
     // A small random graph to serve.
     let n = 1 << 10;
-    let adj = erdos_renyi_weighted(n, 8 * n, 1.0, 42)?;
+    let adj = erdos_renyi_weighted(n, 8 * n, 1, 42)?;
     let g = Graph::new(adj, GraphKind::Directed)?;
     println!("serving: {n} vertices, {} edges", g.nedges());
     let service = GraphService::new(g, ServiceConfig::default()).expect("start service");

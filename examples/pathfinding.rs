@@ -7,6 +7,7 @@
 
 use std::time::Instant;
 
+use lagraph_suite::lagraph::gen::grid2d;
 use lagraph_suite::prelude::*;
 
 fn main() -> graphblas::Result<()> {

@@ -5,15 +5,12 @@
 //!
 //! Run with: `cargo run --release --example social_network`
 
+use lagraph_suite::lagraph::gen::{rmat_graph, RmatConfig};
 use lagraph_suite::prelude::*;
 
 fn main() -> graphblas::Result<()> {
     // Synthetic "social" graph: scale-free, heavy-tailed degrees.
-    let adj = rmat(&RmatParams { scale: 9, edge_factor: 10, seed: 7, ..Default::default() })?;
-    let n = adj.nrows();
-    let mut weights = Matrix::<f64>::new(n, n)?;
-    apply_matrix(&mut weights, None, NOACC, unaryop::One, &adj, &Descriptor::default())?;
-    let g = Graph::new(weights, GraphKind::Undirected)?;
+    let g = rmat_graph(&RmatConfig { scale: 9, edge_factor: 10, seed: 7, ..Default::default() })?;
     println!("social graph: {} users, {} ties", g.nvertices(), g.nedges() / 2);
 
     // Influencers: PageRank + betweenness (sampled sources).
@@ -24,7 +21,7 @@ fn main() -> graphblas::Result<()> {
     for (v, r) in top.iter().take(5) {
         println!("  user {v:4}  rank {r:.5}");
     }
-    let sample: Vec<Index> = (0..32).map(|k| (k * 17) % n).collect();
+    let sample: Vec<Index> = (0..32).map(|k| (k * 17) % g.nvertices()).collect();
     let bc = betweenness_centrality(&g, &sample)?;
     let (broker, score) = lagraph::utils::argmax(&bc).expect("nonempty");
     println!("top broker (sampled betweenness): user {broker} ({score:.1})");

@@ -13,13 +13,14 @@
 //! every event to stderr as it happens instead.
 
 use lagraph_suite::graphblas::trace;
+use lagraph_suite::lagraph::gen::{rmat, RmatConfig};
 use lagraph_suite::prelude::*;
 
 fn main() -> graphblas::Result<()> {
     // A scale-free RMAT graph with dual (row + column) storage, so both
     // the push and pull mxv kernels are available to the direction
     // heuristic.
-    let mut adj = rmat(&RmatParams { scale: 12, edge_factor: 8, ..Default::default() })?;
+    let mut adj = rmat(&RmatConfig { scale: 12, edge_factor: 8, ..Default::default() })?;
     adj.set_dual_storage(true);
     adj.wait();
     let n = adj.nrows();

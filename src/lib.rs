@@ -5,7 +5,8 @@
 //!
 //! * [`graphblas`] — the sparse-linear-algebra substrate (the GraphBLAS);
 //! * [`lagraph`] — the collection of graph algorithms built on top of it;
-//! * [`lagraph_io`] — I/O and graph-generation support utilities.
+//! * [`lagraph_io`] — I/O support utilities (graph generators live in
+//!   `lagraph::gen`).
 //!
 //! ```
 //! use lagraph_suite::prelude::*;

@@ -4,6 +4,7 @@
 
 use std::collections::VecDeque;
 
+use lagraph_suite::lagraph::gen::{grid2d, rmat, RmatConfig};
 use lagraph_suite::prelude::*;
 
 /// Plain queue BFS, the non-GraphBLAS oracle.
@@ -34,7 +35,7 @@ fn graph_of(n: usize, edges: &[(usize, usize)]) -> Graph {
 
 #[test]
 fn fig2_bfs_matches_queue_oracle_on_rmat() {
-    let adj = rmat(&RmatParams { scale: 8, edge_factor: 6, seed: 3, ..Default::default() })
+    let adj = rmat(&RmatConfig { scale: 8, edge_factor: 6, seed: 3, ..Default::default() })
         .expect("rmat");
     let n = adj.nrows();
     let edges: Vec<(usize, usize)> =
@@ -51,7 +52,7 @@ fn fig2_bfs_matches_queue_oracle_on_rmat() {
 
 #[test]
 fn push_pull_and_auto_agree_on_rmat() {
-    let adj = rmat(&RmatParams { scale: 8, edge_factor: 8, seed: 9, ..Default::default() })
+    let adj = rmat(&RmatConfig { scale: 8, edge_factor: 8, seed: 9, ..Default::default() })
         .expect("rmat");
     let n = adj.nrows();
     let edges: Vec<(usize, usize)> =
@@ -66,7 +67,7 @@ fn push_pull_and_auto_agree_on_rmat() {
 
 #[test]
 fn bfs_levels_equal_unit_sssp_plus_one() {
-    let adj = rmat(&RmatParams { scale: 7, edge_factor: 6, seed: 5, ..Default::default() })
+    let adj = rmat(&RmatConfig { scale: 7, edge_factor: 6, seed: 5, ..Default::default() })
         .expect("rmat");
     let n = adj.nrows();
     let mut w = Matrix::<f64>::new(n, n).expect("w");
@@ -82,7 +83,7 @@ fn bfs_levels_equal_unit_sssp_plus_one() {
 
 #[test]
 fn parent_bfs_tree_is_consistent_with_levels() {
-    let adj = rmat(&RmatParams { scale: 7, edge_factor: 6, seed: 13, ..Default::default() })
+    let adj = rmat(&RmatConfig { scale: 7, edge_factor: 6, seed: 13, ..Default::default() })
         .expect("rmat");
     let n = adj.nrows();
     let edges: Vec<(usize, usize)> =

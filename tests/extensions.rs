@@ -4,20 +4,13 @@
 //! output-property harness — all on generated graphs.
 
 use lagraph::harness;
+use lagraph_suite::lagraph::gen::{erdos_renyi_weighted, rmat_directed, rmat_graph, RmatConfig};
 use lagraph_suite::prelude::*;
-
-fn rmat_graph(scale: u32, seed: u64) -> Graph {
-    let adj =
-        rmat(&RmatParams { scale, edge_factor: 8, seed, ..Default::default() }).expect("rmat");
-    let n = adj.nrows();
-    let mut w = Matrix::<f64>::new(n, n).expect("w");
-    apply_matrix(&mut w, None, NOACC, unaryop::One, &adj, &Descriptor::default()).expect("weights");
-    Graph::new(w, GraphKind::Undirected).expect("graph")
-}
 
 #[test]
 fn harness_validates_the_whole_collection_on_rmat() {
-    let g = rmat_graph(7, 41);
+    let g = rmat_graph(&RmatConfig { scale: 7, edge_factor: 8, seed: 41, ..Default::default() })
+        .expect("rmat");
     let levels = bfs_level(&g, 0).expect("bfs");
     assert!(harness::verify_bfs_levels(&g, 0, &levels).expect("bfs check"));
 
@@ -39,7 +32,8 @@ fn harness_validates_the_whole_collection_on_rmat() {
 
 #[test]
 fn binary_format_carries_graphs_through_the_pipeline() {
-    let g = rmat_graph(7, 55);
+    let g = rmat_graph(&RmatConfig { scale: 7, edge_factor: 8, seed: 55, ..Default::default() })
+        .expect("rmat");
     let mut buf = Vec::new();
     write_binary(g.a(), &mut buf).expect("serialize");
     let back: Matrix<f64> = read_binary(&buf[..]).expect("deserialize");
@@ -57,7 +51,8 @@ fn binary_format_carries_graphs_through_the_pipeline() {
 
 #[test]
 fn core_numbers_agree_with_truss_on_dense_blocks() {
-    let g = rmat_graph(6, 66);
+    let g = rmat_graph(&RmatConfig { scale: 6, edge_factor: 8, seed: 66, ..Default::default() })
+        .expect("rmat");
     let core = core_numbers(&g).expect("cores");
     // Core numbers are bounded by degree.
     let deg = g.out_degree().expect("degrees");
@@ -102,7 +97,7 @@ fn cdlp_and_peer_pressure_agree_on_disjoint_cliques() {
 
 #[test]
 fn msf_connects_what_cc_connects() {
-    let a = erdos_renyi_weighted(100, 300, 5.0, 31).expect("er");
+    let a = erdos_renyi_weighted(100, 300, 5, 31).expect("er");
     let g = Graph::new(a, GraphKind::Undirected).expect("graph");
     let forest = minimum_spanning_forest(&g).expect("msf");
     // Build a graph of just the forest edges: same component structure.
@@ -115,7 +110,7 @@ fn msf_connects_what_cc_connects() {
 #[test]
 fn scc_condensation_is_consistent_with_bfs() {
     let adj =
-        rmat_directed(&RmatParams { scale: 6, edge_factor: 4, seed: 77, ..Default::default() })
+        rmat_directed(&RmatConfig { scale: 6, edge_factor: 4, seed: 77, ..Default::default() })
             .expect("rmat");
     let n = adj.nrows();
     let mut w = Matrix::<f64>::new(n, n).expect("w");
@@ -142,7 +137,8 @@ fn scc_condensation_is_consistent_with_bfs() {
 
 #[test]
 fn triangle_centrality_total_matches_tricount() {
-    let g = rmat_graph(6, 99);
+    let g = rmat_graph(&RmatConfig { scale: 6, edge_factor: 8, seed: 99, ..Default::default() })
+        .expect("rmat");
     let (tc, total) = triangle_centrality(&g).expect("tc");
     assert_eq!(total, triangle_count(&g, TriCountMethod::Sandia).expect("count"));
     if total > 0 {
@@ -155,7 +151,8 @@ fn triangle_centrality_total_matches_tricount() {
 
 #[test]
 fn subgraph_counts_consistent_with_dedicated_counters() {
-    let g = rmat_graph(6, 123);
+    let g = rmat_graph(&RmatConfig { scale: 6, edge_factor: 8, seed: 123, ..Default::default() })
+        .expect("rmat");
     let counts = subgraph_counts(&g).expect("counts");
     assert_eq!(counts.triangles, triangle_count(&g, TriCountMethod::Burkhardt).expect("tc"));
 }

@@ -1,22 +1,18 @@
 //! End-to-end pipeline tests spanning all three crates: generate a graph
-//! (`lagraph-io`), round-trip it through Matrix Market, and require the
+//! (`lagraph::gen`), round-trip it through Matrix Market (`lagraph-io`),
+//! and require the
 //! whole algorithm collection (`lagraph`) to produce mutually consistent
 //! results through the GraphBLAS substrate (`graphblas`).
 
+use lagraph_suite::lagraph::gen::{
+    erdos_renyi_weighted, grid2d, random_matrix, rmat_directed, rmat_graph, RmatConfig,
+};
 use lagraph_suite::prelude::*;
-
-fn rmat_graph(scale: u32, seed: u64) -> Graph {
-    let adj =
-        rmat(&RmatParams { scale, edge_factor: 8, seed, ..Default::default() }).expect("rmat");
-    let n = adj.nrows();
-    let mut w = Matrix::<f64>::new(n, n).expect("w");
-    apply_matrix(&mut w, None, NOACC, unaryop::One, &adj, &Descriptor::default()).expect("weights");
-    Graph::new(w, GraphKind::Undirected).expect("graph")
-}
 
 #[test]
 fn matrix_market_round_trip_preserves_analytics() {
-    let g = rmat_graph(7, 21);
+    let g = rmat_graph(&RmatConfig { scale: 7, edge_factor: 8, seed: 21, ..Default::default() })
+        .expect("rmat");
     let mut buf = Vec::new();
     write_matrix_market(g.a(), &mut buf, MmField::Real).expect("write");
     let back: Matrix<f64> = read_matrix_market(&buf[..]).expect("read");
@@ -35,7 +31,8 @@ fn matrix_market_round_trip_preserves_analytics() {
 
 #[test]
 fn components_agree_with_repeated_bfs() {
-    let g = rmat_graph(7, 33);
+    let g = rmat_graph(&RmatConfig { scale: 7, edge_factor: 8, seed: 33, ..Default::default() })
+        .expect("rmat");
     let n = g.nvertices();
     let comp = connected_components(&g).expect("cc");
     // Oracle: peel components off with BFS.
@@ -60,7 +57,8 @@ fn components_agree_with_repeated_bfs() {
 #[test]
 fn tricount_methods_agree_on_scale_free_graphs() {
     for seed in [1, 2, 3] {
-        let g = rmat_graph(7, seed);
+        let g = rmat_graph(&RmatConfig { scale: 7, edge_factor: 8, seed, ..Default::default() })
+            .expect("rmat");
         let b = triangle_count(&g, TriCountMethod::Burkhardt).expect("burkhardt");
         let c = triangle_count(&g, TriCountMethod::Cohen).expect("cohen");
         let s = triangle_count(&g, TriCountMethod::Sandia).expect("sandia");
@@ -75,7 +73,7 @@ fn tricount_methods_agree_on_scale_free_graphs() {
 
 #[test]
 fn delta_stepping_matches_bellman_ford_on_random_weights() {
-    let a = erdos_renyi_weighted(128, 512, 4.0, 17).expect("er");
+    let a = erdos_renyi_weighted(128, 512, 4, 17).expect("er");
     let g = Graph::new(a, GraphKind::Undirected).expect("graph");
     let bf = sssp_bellman_ford(&g, 0).expect("bf");
     for delta in [0.5, 1.5, 5.0] {
@@ -92,7 +90,8 @@ fn delta_stepping_matches_bellman_ford_on_random_weights() {
 
 #[test]
 fn ktruss_is_nested_and_bounded_by_triangles() {
-    let g = rmat_graph(6, 5);
+    let g = rmat_graph(&RmatConfig { scale: 6, edge_factor: 8, seed: 5, ..Default::default() })
+        .expect("rmat");
     let t3 = ktruss(&g, 3).expect("t3");
     let t4 = ktruss(&g, 4).expect("t4");
     let t5 = ktruss(&g, 5).expect("t5");
@@ -112,7 +111,7 @@ fn ktruss_is_nested_and_bounded_by_triangles() {
 fn pagerank_mass_conservation_across_graphs() {
     for seed in [11, 22] {
         let adj =
-            rmat_directed(&RmatParams { scale: 7, edge_factor: 8, seed, ..Default::default() })
+            rmat_directed(&RmatConfig { scale: 7, edge_factor: 8, seed, ..Default::default() })
                 .expect("rmat");
         let n = adj.nrows();
         let mut w = Matrix::<f64>::new(n, n).expect("w");
@@ -129,7 +128,8 @@ fn pagerank_mass_conservation_across_graphs() {
 
 #[test]
 fn mis_and_coloring_are_valid_on_scale_free_graphs() {
-    let g = rmat_graph(7, 77);
+    let g = rmat_graph(&RmatConfig { scale: 7, edge_factor: 8, seed: 77, ..Default::default() })
+        .expect("rmat");
     let iset = maximal_independent_set(&g, 5).expect("mis");
     assert!(verify_mis(&g, &iset).expect("verify mis"));
     let (colors, k) = greedy_color(&g, 5).expect("color");
@@ -141,7 +141,8 @@ fn mis_and_coloring_are_valid_on_scale_free_graphs() {
 
 #[test]
 fn bc_sums_decompose_over_source_batches() {
-    let g = rmat_graph(6, 88);
+    let g = rmat_graph(&RmatConfig { scale: 6, edge_factor: 8, seed: 88, ..Default::default() })
+        .expect("rmat");
     let n = g.nvertices();
     let first: Vec<Index> = (0..n / 2).collect();
     let second: Vec<Index> = (n / 2..n).collect();
@@ -158,7 +159,7 @@ fn bc_sums_decompose_over_source_batches() {
 
 #[test]
 fn astar_equals_delta_stepping_on_weighted_er() {
-    let a = erdos_renyi_weighted(64, 256, 3.0, 23).expect("er");
+    let a = erdos_renyi_weighted(64, 256, 3, 23).expect("er");
     let g = Graph::new(a, GraphKind::Undirected).expect("graph");
     let dist = sssp_delta_stepping(&g, 0, 1.0).expect("ds");
     for target in [5, 20, 63] {
